@@ -222,7 +222,7 @@ void SharedAccessPoint::arbitrate_window(sim::SimTime boundary) {
     if (static_cast<int>(reserved_starts_.size()) >= cfg_.queue_depth) {
       ++att.stats.drops;
       req->granted = false;
-      req->owner->at(boundary, [h = req->waiter] { h.resume(); });
+      req->owner->resume_at(boundary, req->waiter);
       continue;
     }
     const sim::SimTime start = std::max(boundary, next_free_);
@@ -237,7 +237,7 @@ void SharedAccessPoint::arbitrate_window(sim::SimTime boundary) {
     att.stats.airtime_wait += start - req->requested;
     ++att.stats.grants;
     req->granted = true;
-    req->owner->at(start, [h = req->waiter] { h.resume(); });
+    req->owner->resume_at(start, req->waiter);
   }
 }
 

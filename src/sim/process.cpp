@@ -5,24 +5,22 @@
 namespace iotsim::sim {
 
 void Delay::arm(std::coroutine_handle<> h) {
-  sim->after(d, [h] { h.resume(); });
+  sim->resume_at(sim->now() + d, h);
 }
 
 void Signal::notify_all() {
-  // Swap out the waiter list first: a resumed waiter may immediately wait()
-  // again, and that registration belongs to the *next* notification.
-  std::deque<Waiter> woken;
-  woken.swap(waiters_);
-  for (auto& w : woken) {
-    w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
-  }
+  // Wakeups are scheduled, never run inline, so no waiter can touch
+  // waiters_ during the loop. A resumed waiter that waits again registers
+  // after the clear and belongs to the *next* notification.
+  for (const Waiter& w : waiters_) w.sim->resume_at(w.sim->now(), w.h);
+  waiters_.clear();
 }
 
 void Signal::notify_one() {
   if (waiters_.empty()) return;
-  Waiter w = waiters_.front();
+  const Waiter w = waiters_.front();
   waiters_.pop_front();
-  w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
+  w.sim->resume_at(w.sim->now(), w.h);
 }
 
 void SimMutex::release() {
@@ -33,9 +31,9 @@ void SimMutex::release() {
   }
   // Hand the lock to the first waiter; locked_ stays true across the
   // scheduled wakeup so no third party can sneak in between.
-  Waiter w = waiters_.front();
+  const Waiter w = waiters_.front();
   waiters_.pop_front();
-  w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
+  w.sim->resume_at(w.sim->now(), w.h);
 }
 
 }  // namespace iotsim::sim

@@ -1,8 +1,8 @@
 // The pending-event ordering structure behind EventQueue, as an interface.
 //
-// A Scheduler holds (time, seq) entries and yields them in exact
-// min-(time, seq) order — the kernel's determinism contract. Two
-// implementations exist:
+// A Scheduler holds (time, seq, payload) entries and yields them in exact
+// min-(time, seq) order — the kernel's determinism contract. The payload
+// rides along and is never compared. Two implementations exist:
 //   * BinaryHeapScheduler — std::priority_queue; O(log n) push/pop, cheap at
 //     small queue depths. The default.
 //   * CalendarQueue (calendar_queue.h) — bucketed by time; amortised O(1)
@@ -39,11 +39,14 @@ enum class SchedulerKind : std::uint8_t {
   return "?";
 }
 
-/// One pending entry. `seq` is the insertion sequence number (the EventId),
-/// which breaks timestamp ties FIFO — the kernel's reproducibility rule.
+/// One pending entry. `seq` is the insertion sequence number, which breaks
+/// timestamp ties FIFO — the kernel's reproducibility rule. `payload` is
+/// what the event does (EventQueue's encoding: a coroutine handle address,
+/// or a tagged callback slab index); ordering never looks at it.
 struct SchedEntry {
   SimTime time;
   std::uint64_t seq = 0;
+  std::uintptr_t payload = 0;
 
   // std::greater on SchedEntry gives a min-heap on (time, seq).
   [[nodiscard]] bool operator>(const SchedEntry& o) const {

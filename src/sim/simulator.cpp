@@ -22,6 +22,11 @@ EventId Simulator::after(Duration d, EventQueue::Callback cb) {
   return at(now_ + d, std::move(cb));
 }
 
+void Simulator::resume_at(SimTime t, std::coroutine_handle<> h) {
+  assert(t >= now_ && "cannot schedule into the past");
+  queue_.schedule_resume(t, h);
+}
+
 EventId Simulator::at_system(SimTime t, EventQueue::Callback cb) {
   assert(t >= now_ && "cannot schedule into the past");
   return queue_.schedule_last(t, std::move(cb));
@@ -32,7 +37,7 @@ void Simulator::spawn(Task<void> task) {
   auto handle = task.handle();
   handle.promise().sim = this;
   processes_.push_back(std::move(task));
-  at(now_, [handle] { handle.resume(); });
+  resume_at(now_, handle);
 }
 
 void Simulator::advance_to(SimTime t) {
@@ -54,22 +59,18 @@ void Simulator::dispatch_loop(SimTime limit, bool settle_at_limit) {
   assert(!running_ && "re-entrant run()");
   running_ = true;
   stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty()) {
-    if (queue_.next_time() > limit) {
-      if (settle_at_limit) advance_to(limit);
-      running_ = false;
-      return;
-    }
-    auto ev = queue_.pop();
-    advance_to(ev.time);
-    ev.callback();
+  while (!stop_requested_) {
+    auto ev = queue_.pop_until(limit);
+    if (!ev) break;
+    advance_to(ev->time);
+    ev->callback();
     // System events are kernel plumbing, not model activity: keeping them
     // out of the counter makes events_dispatched identical across
     // execution shapes that do or don't need them.
-    if (ev.id < EventQueue::kSystemIdFloor) ++dispatched_;
+    if (ev->seq < EventQueue::kSystemIdFloor) ++dispatched_;
   }
-  if (settle_at_limit && queue_.empty() && limit != SimTime::infinite() && now_ < limit &&
-      !stop_requested_) {
+  // The queue drained or its next event lies past `limit`.
+  if (settle_at_limit && !stop_requested_ && limit != SimTime::infinite() && now_ < limit) {
     advance_to(limit);
   }
   running_ = false;

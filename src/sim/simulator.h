@@ -1,8 +1,9 @@
 // The discrete-event simulation kernel.
 //
 // Single-threaded: events pop in (time, insertion) order; coroutine processes
-// resume from event callbacks. The kernel knows nothing about hardware — the
-// hw/ layer builds component models on top of it.
+// resume from resume events (resume_at), other work runs from callbacks. The
+// kernel knows nothing about hardware — the hw/ layer builds component
+// models on top of it.
 //
 // Introspection goes through one snapshot, Simulator::stats(), instead of
 // scattered getters: events dispatched, pending population, the queue's
@@ -10,6 +11,7 @@
 // ordering events.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,6 +49,10 @@ class Simulator {
   EventId at(SimTime t, EventQueue::Callback cb);
   /// Schedules a raw callback `d` from now.
   EventId after(Duration d, EventQueue::Callback cb);
+  /// Resumes `h` at absolute time `t` (must not precede now()). The event
+  /// orders like any other scheduled at this point but stores no callback
+  /// and cannot be cancelled — the path every pure coroutine wakeup takes.
+  void resume_at(SimTime t, std::coroutine_handle<> h);
   /// Schedules kernel bookkeeping at `t` that fires after every regular
   /// event sharing that timestamp and is excluded from events_dispatched —
   /// so a run driven by system events (e.g. windowed-AP arbitration) stays

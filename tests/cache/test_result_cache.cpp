@@ -5,6 +5,7 @@
 #include "cache/result_cache.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -28,9 +29,15 @@ using core::Scheme;
 
 class ResultCacheFixture : public ::testing::Test {
  protected:
+  // Each test owns its directory: ctest runs every case as its own process,
+  // in parallel, and a shared path would let one case's TearDown delete
+  // another's live cache.
   void SetUp() override {
-    dir_ = std::filesystem::path{::testing::TempDir()} / "iotsim_result_cache";
-    std::filesystem::remove_all(dir_);
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path{::testing::TempDir()} /
+           ("iotsim_result_cache-" + std::string{info->name()} + "-" + std::to_string(::getpid()));
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
   void TearDown() override {
     std::error_code ec;

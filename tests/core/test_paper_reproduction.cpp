@@ -3,6 +3,9 @@
 // paper's regime, these fail before EXPERIMENTS.md quietly rots.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "core/scenario_runner.h"
 #include "hw/iot_hub.h"
 #include "sim/simulator.h"
@@ -44,6 +47,14 @@ struct SavingsBand {
   double batching_lo, batching_hi;
   double com_lo, com_hi;
 };
+
+// gtest would otherwise name each case by a byte dump of the struct, which
+// includes the uninitialised padding after `id` and so changes on every run.
+void PrintTo(const SavingsBand& band, std::ostream* os) {
+  *os << apps::code_of(band.id) << std::fixed << std::setprecision(2) << " batching ["
+      << band.batching_lo << ", " << band.batching_hi << "] com [" << band.com_lo << ", "
+      << band.com_hi << "]";
+}
 
 class SavingsSweep : public ::testing::TestWithParam<SavingsBand> {};
 

@@ -3,8 +3,10 @@
 // scenario, bit-identically to the cold run, under both run() and
 // run_one(), and concurrently from multiple runners sharing the directory.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,11 +21,21 @@ using apps::AppId;
 
 class SweepDiskCacheFixture : public ::testing::Test {
  protected:
+  // Each test owns its directory: ctest runs every case as its own process,
+  // in parallel, and a shared path would let one case's TearDown delete
+  // another's live cache.
   void SetUp() override {
-    dir_ = std::filesystem::path{::testing::TempDir()} / "iotsim_sweep_disk_cache";
-    std::filesystem::remove_all(dir_);
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path{::testing::TempDir()} /
+           ("iotsim_sweep_disk_cache-" + std::string{info->name()} + "-" +
+            std::to_string(::getpid()));
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
 
   static Scenario quick(AppId id, Scheme scheme, int seed = 7) {
     Scenario sc;

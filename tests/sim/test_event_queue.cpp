@@ -4,8 +4,16 @@
 
 #include <vector>
 
+#include "sim/process.h"
+
 namespace iotsim::sim {
 namespace {
+
+/// A lazily started coroutine that records `label` when resumed.
+Task<void> recorder(std::vector<int>& out, int label) {
+  out.push_back(label);
+  co_return;
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -163,6 +171,90 @@ TEST(EventQueue, ManyEventsStressOrder) {
   while (!q.empty()) q.pop().callback();
   ASSERT_EQ(popped.size(), 2000u);
   for (std::size_t i = 1; i < popped.size(); ++i) EXPECT_LE(popped[i - 1], popped[i]);
+}
+
+TEST(EventQueue, CancelStaleIdLeavesSlotReuserAlone) {
+  EventQueue q;
+  int first_fired = 0;
+  int second_fired = 0;
+  const EventId first = q.schedule(SimTime::from_ns(1), [&] { ++first_fired; });
+  q.pop().callback();  // fires; its slot is free again
+  const EventId second = q.schedule(SimTime::from_ns(2), [&] { ++second_fired; });
+  EXPECT_NE(first, second);
+  q.cancel(first);  // stale: the slot now belongs to `second`
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(first_fired, 1);
+  EXPECT_EQ(second_fired, 1);
+}
+
+TEST(EventQueue, CancelOfCancelledIdAfterSlotReuseIsNoop) {
+  EventQueue q;
+  int fired = 0;
+  const EventId doomed = q.schedule(SimTime::from_ns(1), [&] { fired += 100; });
+  q.cancel(doomed);
+  q.cancel(doomed);  // twice: still one cancellation
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), SimTime::infinite());  // drops the tombstone, frees the slot
+  const EventId reuser = q.schedule(SimTime::from_ns(2), [&] { ++fired; });
+  EXPECT_NE(doomed, reuser);
+  q.cancel(doomed);
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, ClearKeepsIssuedIdsStale) {
+  EventQueue q;
+  int fired = 0;
+  const EventId before = q.schedule(SimTime::from_ns(1), [] {});
+  q.clear();
+  q.schedule(SimTime::from_ns(1), [&] { ++fired; });
+  q.cancel(before);
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, ResumeEntriesShareFifoOrderWithCallbacks) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<Task<void>> tasks;
+  const auto t = SimTime::from_ns(9);
+  for (int i = 0; i < 6; ++i) {
+    if (i % 2 == 0) {
+      tasks.push_back(recorder(order, i));
+      q.schedule_resume(t, tasks.back().handle());
+    } else {
+      q.schedule(t, [&order, i] { order.push_back(i); });
+    }
+  }
+  tasks.push_back(recorder(order, -1));
+  q.schedule_resume(SimTime::from_ns(3), tasks.back().handle());  // earlier time pops first
+  EXPECT_EQ(q.size(), 7u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
+  for (const auto& task : tasks) EXPECT_TRUE(task.done());
+}
+
+TEST(EventQueue, PopUntilStopsAtLimitAndSkipsCancelled) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId gone = q.schedule(SimTime::from_ns(1), [&] { order.push_back(0); });
+  q.schedule(SimTime::from_ns(5), [&] { order.push_back(5); });
+  q.schedule(SimTime::from_ns(6), [&] { order.push_back(6); });
+  q.cancel(gone);
+  while (auto ev = q.pop_until(SimTime::from_ns(5))) {
+    EXPECT_LE(ev->time, SimTime::from_ns(5));
+    ev->callback();
+  }
+  EXPECT_EQ(order, (std::vector<int>{5}));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.pop_until(SimTime::from_ns(5)).has_value());
+  auto last = q.pop_until(SimTime::infinite());
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->time, SimTime::from_ns(6));
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

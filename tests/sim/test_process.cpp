@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -126,6 +128,37 @@ TEST(Simulator, SignalNotifyOneWakesOne) {
   EXPECT_EQ(woken, 1);
   EXPECT_EQ(sig.waiter_count(), 1u);
   EXPECT_EQ(sim.live_processes(), 1u);
+}
+
+TEST(Simulator, SignalNotifyAllWakesInRegistrationOrder) {
+  Simulator sim;
+  Signal sig;
+  std::vector<std::pair<int, std::int64_t>> wakes;  // (waiter, ms)
+  auto waiter = [&](int id, int rounds) -> Task<void> {
+    for (int r = 0; r < rounds; ++r) {
+      co_await sig.wait();
+      wakes.emplace_back(id, (sim.now() - SimTime::origin()).count_ns() / 1'000'000);
+    }
+  };
+  std::size_t left_after_notify = 99;
+  auto notifier = [&]() -> Task<void> {
+    co_await Delay{Duration::ms(1)};
+    sig.notify_all();
+    left_after_notify = sig.waiter_count();
+    co_await Delay{Duration::ms(1)};
+    sig.notify_all();
+  };
+  // Registration order 3, 1, 2 — not id order. Waiter 1 waits again as
+  // soon as it resumes; that registration belongs to the next notify.
+  sim.spawn(waiter(3, 1));
+  sim.spawn(waiter(1, 2));
+  sim.spawn(waiter(2, 1));
+  sim.spawn(notifier());
+  sim.run();
+  EXPECT_EQ(left_after_notify, 0u);
+  EXPECT_EQ(wakes, (std::vector<std::pair<int, std::int64_t>>{{3, 1}, {1, 1}, {2, 1}, {1, 2}}));
+  EXPECT_EQ(sig.waiter_count(), 0u);
+  EXPECT_TRUE(sim.all_processes_done());
 }
 
 TEST(Simulator, MutexSerializesFifo) {

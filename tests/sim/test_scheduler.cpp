@@ -10,10 +10,17 @@
 
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
+#include "sim/process.h"
 #include "sim/random.h"
 
 namespace iotsim::sim {
 namespace {
+
+/// A lazily started coroutine that records `label` when resumed.
+Task<void> recorder(std::vector<int>& out, int label) {
+  out.push_back(label);
+  co_return;
+}
 
 std::vector<SchedEntry> drain(Scheduler& s) {
   std::vector<SchedEntry> out;
@@ -156,23 +163,57 @@ TEST(EventQueueScheduler, StartsOnHeapAndMigratesUnderFleetPressure) {
 }
 
 TEST(EventQueueScheduler, MigrationPreservesPendingOrderAndCancels) {
-  // Build identical histories on a forced-heap queue and an auto-migrating
-  // one; the dispatch order must be identical through the switch.
-  auto run_history = [](bool pin_heap) {
+  // Build identical histories on a pinned heap, a pinned calendar and an
+  // auto-migrating queue. Resume entries, callbacks and cancels interleave
+  // at heavily tied timestamps, before the switch and while draining; the
+  // dispatch order must be identical on all three, through the switch.
+  enum class Mode { kPinnedHeap, kPinnedCalendar, kAuto };
+  auto run_history = [](Mode mode) {
     EventQueue q;
-    if (pin_heap) q.force_scheduler(SchedulerKind::kBinaryHeap);
+    if (mode == Mode::kPinnedHeap) q.force_scheduler(SchedulerKind::kBinaryHeap);
+    if (mode == Mode::kPinnedCalendar) q.force_scheduler(SchedulerKind::kCalendar);
     Rng rng{123};
     std::vector<EventId> ids;
-    std::vector<std::uint64_t> fired;
-    for (std::uint64_t i = 0; i < EventQueue::kCalendarSwitchThreshold + 64; ++i) {
-      ids.push_back(q.schedule(SimTime::from_ns(rng.uniform_int(0, 1'000'000)),
-                               [&fired, i] { fired.push_back(i); }));
+    std::vector<int> fired;
+    std::vector<Task<void>> tasks;
+    int next_label = 0;
+    auto add = [&](SimTime t) {
+      const int label = next_label++;
+      if (rng.uniform() < 0.5) {
+        tasks.push_back(recorder(fired, label));
+        q.schedule_resume(t, tasks.back().handle());
+      } else {
+        ids.push_back(q.schedule(t, [&fired, label] { fired.push_back(label); }));
+      }
+      // Cancels hit pending, fired and already-cancelled ids alike.
+      if (rng.uniform() < 0.15) {
+        q.cancel(ids[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))]);
+      }
+    };
+    ids.push_back(q.schedule(SimTime::origin(), [&fired] { fired.push_back(-1); }));
+    for (std::size_t i = 0; i < 2 * EventQueue::kCalendarSwitchThreshold; ++i) {
+      add(SimTime::from_ns(rng.uniform_int(0, 40) * 1000));
     }
-    for (std::size_t i = 0; i < ids.size(); i += 7) q.cancel(ids[i]);
-    while (!q.empty()) q.pop().callback();
+    EXPECT_EQ(q.scheduler_kind(),
+              mode == Mode::kPinnedHeap ? SchedulerKind::kBinaryHeap : SchedulerKind::kCalendar);
+    int follow_ups = 0;
+    while (!q.empty()) {
+      auto ev = q.pop();
+      ev.callback();
+      // Handlers schedule follow-ups at their own timestamp, tying with
+      // still-pending entries.
+      if (follow_ups < 2000 && rng.uniform() < 0.3) {
+        ++follow_ups;
+        add(ev.time + Duration::ns(rng.uniform_int(0, 1) * 1000));
+      }
+    }
     return fired;
   };
-  EXPECT_EQ(run_history(true), run_history(false));
+  const std::vector<int> heap = run_history(Mode::kPinnedHeap);
+  EXPECT_GT(heap.size(), EventQueue::kCalendarSwitchThreshold);
+  EXPECT_EQ(heap, run_history(Mode::kPinnedCalendar));
+  EXPECT_EQ(heap, run_history(Mode::kAuto));
 }
 
 TEST(EventQueueScheduler, ForceSchedulerPinsAndMatchesDefault) {
