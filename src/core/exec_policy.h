@@ -8,8 +8,9 @@
 //
 // Sharding model: hubs couple only through the shared net::Medium. With the
 // ideal medium (no `network` section) acquire() never suspends, hubs are
-// fully independent, and the fleet splits into contiguous hub blocks, one
-// Simulator/Arena/ledger per shard on its own worker thread.
+// fully independent, and the fleet's hubs are dealt round-robin to shards
+// (hub h to shard h mod S), one Simulator/Arena/ledger per shard on its own
+// worker thread.
 //
 // Window-quantum coupling contract: a SharedAccessPoint whose ApConfig sets
 // `reservation_window` (FIFO only) batches every airtime request made during

@@ -375,10 +375,11 @@ Task<void> HubRuntime::env_supervisor() {
   }
 }
 
-HubResult HubRuntime::harvest(const energy::EnergyAccountant& acct, sim::Duration span) const {
+HubResult HubRuntime::harvest(sim::Duration span) const {
   HubResult hr;
   hr.name = cfg_.name;
-  hr.energy = energy::EnergyReport::from_accountant(acct, span, hub_->component_prefix());
+  const energy::LedgerSlice slice = ledger_slice();
+  hr.energy = energy::EnergyReport::from_slices({&slice, 1}, span);
   hr.plan = plan_;
   hr.notes = notes_;
   hr.interrupts_raised = hub_->irq().raised_count();

@@ -97,8 +97,12 @@ class HubRuntime {
 
   /// Collects this hub's slice of the run: its components' energy report,
   /// per-app results, offload plan and QoS verdicts.
-  [[nodiscard]] HubResult harvest(const energy::EnergyAccountant& acct,
-                                  sim::Duration span) const;
+  [[nodiscard]] HubResult harvest(sim::Duration span) const;
+
+  /// The components this hub registered, in the ledger it was built on.
+  [[nodiscard]] energy::LedgerSlice ledger_slice() const {
+    return {&acct_, comp_begin_, comp_end_};
+  }
 
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
   [[nodiscard]] hw::IotHub& hub() { return *hub_; }

@@ -44,20 +44,33 @@ HubRuntime::Config hub_config(const Scenario& scenario, const HubView& hv, net::
   return cfg;
 }
 
-/// One hub to harvest, paired with the ledger its components registered in
-/// (the shared ledger single-threaded; its shard's ledger when sharded).
-struct HarvestEntry {
-  const HubRuntime* hub;
-  const energy::EnergyAccountant* acct;
-};
+/// Fleet energy from every hub's ledger slice, walked in global hub order
+/// (see EnergyReport::from_slices), checked against the ledgers those
+/// slices must partition — the tripwire for a hub skipped or walked twice.
+energy::EnergyReport fleet_energy(const std::vector<const HubRuntime*>& hubs,
+                                  const std::vector<const energy::EnergyAccountant*>& ledgers,
+                                  sim::Duration span) {
+  std::vector<energy::LedgerSlice> slices;
+  slices.reserve(hubs.size());
+  for (const HubRuntime* hub : hubs) slices.push_back(hub->ledger_slice());
+  energy::EnergyReport report = energy::EnergyReport::from_slices(slices, span);
+  double ledger = 0.0;
+  for (const energy::EnergyAccountant* acct : ledgers) ledger += acct->total_joules();
+  const double total = report.total_joules();
+  const double tol = 1e-9 * (std::abs(ledger) > 1.0 ? std::abs(ledger) : 1.0);
+  IOTSIM_CHECK_LE(std::abs(total - ledger), tol,
+                  "fleet report total %.12g J diverges from %zu ledgers' total %.12g J", total,
+                  ledgers.size(), ledger);
+  return report;
+}
 
 /// Fleet availability roll-up straight from the runtimes, in hub order —
 /// the totals harvest_fleet later re-derives from the HubResult sections
 /// and checks against (the environment-layer reassembly tripwire).
-energy::AvailabilitySummary availability_summary(const std::vector<HarvestEntry>& entries) {
+energy::AvailabilitySummary availability_summary(const std::vector<const HubRuntime*>& hubs) {
   energy::AvailabilitySummary a;
-  for (const HarvestEntry& e : entries) {
-    const env::AvailabilityStats st = e.hub->availability();
+  for (const HubRuntime* hub : hubs) {
+    const env::AvailabilityStats st = hub->availability();
     if (!st.modeled) continue;
     a.modeled = true;
     ++a.hubs_modeled;
@@ -78,13 +91,13 @@ energy::AvailabilitySummary availability_summary(const std::vector<HarvestEntry>
 /// fleet totals already placed in `result.energy`, and the legacy flat-field
 /// mirror / fleet QoS summary.
 void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
-                   const std::vector<HarvestEntry>& entries) {
+                   const std::vector<const HubRuntime*>& hubs) {
   result.qos_met = true;
   double hub_joules_sum = 0.0;
   net::AirtimeStats hub_stats_sum;
   energy::AvailabilitySummary hub_avail_sum;
-  for (const HarvestEntry& e : entries) {
-    HubResult hr = e.hub->harvest(*e.acct, result.span);
+  for (const HubRuntime* hub : hubs) {
+    HubResult hr = hub->harvest(result.span);
     hub_joules_sum += hr.energy.total_joules();
     hub_stats_sum.airtime_wait += hr.airtime_wait;
     hub_stats_sum.grants += hr.airtime_grants;
@@ -149,9 +162,10 @@ void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
     IOTSIM_CHECK_LE(std::abs(hub_avail_sum.billed_j - fleet.billed_j), etol,
                     "per-hub billed energy does not reassemble the fleet total");
   }
-  // Fleet conservation: the hub-scoped slices partition the ledger(s), so
-  // their totals must reassemble the fleet total exactly (modulo
-  // summation-order rounding). The tripwire for scope-prefix bugs.
+  // Fleet conservation: the hub reports are the slices fleet_energy walked,
+  // so their totals must reassemble the fleet total exactly (modulo
+  // summation-order rounding). The tripwire for a hub harvested twice or
+  // skipped.
   {
     const double fleet = result.energy.total_joules();
     const double tol = 1e-9 * (std::abs(fleet) > 1.0 ? std::abs(fleet) : 1.0);
@@ -288,7 +302,10 @@ ScenarioResult ScenarioRunner::run_single() {
   ScenarioResult result;
   result.scheme = scenario_.scheme;
   result.span = sim.now() - sim::SimTime::origin();
-  result.energy = energy::EnergyReport::from_accountant(acct, result.span);
+  std::vector<const HubRuntime*> in_order;
+  in_order.reserve(hubs.size());
+  for (const auto& hub : hubs) in_order.push_back(&hub);
+  result.energy = fleet_energy(in_order, {&acct}, result.span);
   {
     const net::MediumStats net_stats = medium->stats();
     energy::CongestionSummary congestion;
@@ -310,22 +327,22 @@ ScenarioResult ScenarioRunner::run_single() {
     result.energy.set_kernel(std::move(kernel));
   }
   result.power_trace = power_trace;
-
-  std::vector<HarvestEntry> entries;
-  entries.reserve(hubs.size());
-  for (const auto& hub : hubs) entries.push_back(HarvestEntry{&hub, &acct});
-  result.energy.set_availability(availability_summary(entries));
-  harvest_fleet(result, scenario_, entries);
+  result.energy.set_availability(availability_summary(in_order));
+  harvest_fleet(result, scenario_, in_order);
   return result;
 }
 
 ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   // Each shard is a self-contained kernel: its own arena (coroutine frames
   // AND its hubs' runtime state — a 10k-hub fleet never exists on one heap),
-  // simulator, energy ledger, and per-shard ideal medium, driving a
-  // contiguous block of the fleet's hubs. Member order is destruction
-  // order in reverse: hubs die before the simulator, frames before the
-  // arena.
+  // simulator, energy ledger, and per-shard ideal medium. Hubs are dealt
+  // round-robin: shard s drives hubs s, s+S, s+2S, …, so a count-compressed
+  // fleet — contiguous runs of identical hubs — spreads every template
+  // evenly over the shards, whatever each template costs to simulate. (A
+  // hand-expanded fleet whose templates cycle with a period dividing S
+  // still lands one template per shard; its results stay byte-identical,
+  // only the shards' work is lopsided.) Member order is destruction order
+  // in reverse: hubs die before the simulator, frames before the arena.
   struct Shard {
     sim::Arena arena;
     sim::Simulator sim;
@@ -357,7 +374,9 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     shared_ap->reserve_attachments(2 * n);
   }
 
-  std::deque<Shard> fleet(s_count);
+  std::vector<std::unique_ptr<Shard>> fleet;
+  fleet.reserve(s_count);
+  for (std::size_t s = 0; s < s_count; ++s) fleet.push_back(std::make_unique<Shard>());
 
   // A finite window interleaves shard execution in simulated-time lockstep:
   // every shard drains to the k-th boundary, then all arrive at the barrier
@@ -376,9 +395,9 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     const std::int64_t k = round.fetch_add(1, std::memory_order_relaxed);
     if (ap != nullptr) ap->arbitrate_window(window_horizon(window, k));
     bool done = ap == nullptr || ap->pending_requests() == 0;
-    for (const Shard& sh : fleet) {
-      done = done && (sh.failed.load(std::memory_order_relaxed) ||
-                      sh.sim.stats().pending_events == 0);
+    for (const auto& sh : fleet) {
+      done = done && (sh->failed.load(std::memory_order_relaxed) ||
+                      sh->sim.stats().pending_events == 0);
     }
     all_done.store(done, std::memory_order_relaxed);
   };
@@ -392,11 +411,9 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   // when windowed (they meet at the barrier).
   ThreadPool pool{shards};
   for (std::size_t s = 0; s < s_count; ++s) {
-    const std::size_t begin = s * n / s_count;
-    const std::size_t end = (s + 1) * n / s_count;
-    Shard& shard = fleet[s];
-    pool.submit([this, &shard, &fleet_view, &barrier, &all_done, ap, windowed, window, begin,
-                 end] {
+    Shard& shard = *fleet[s];
+    pool.submit([this, &shard, &fleet_view, &barrier, &all_done, ap, windowed, window, s,
+                 s_count, n] {
       bool failed = false;
       try {
         sim::ArenaScope frame_arena{shard.arena};
@@ -407,7 +424,7 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
         // shared AP's attachment table identical to the single-kernel run
         // no matter how workers interleave.
         net::Medium* medium = ap != nullptr ? static_cast<net::Medium*>(ap) : &shard.medium;
-        for (std::size_t h = begin; h < end; ++h) {
+        for (std::size_t h = s; h < n; h += s_count) {
           shard.hubs.emplace_back(shard.sim, shard.acct,
                                   hub_config(scenario_, fleet_view.hub(h), medium,
                                              &shard.arena));
@@ -454,18 +471,23 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     });
   }
   pool.wait_idle();
-  for (Shard& sh : fleet) {
-    if (sh.error) std::rethrow_exception(sh.error);
+  for (const auto& sh : fleet) {
+    if (sh->error) std::rethrow_exception(sh->error);
   }
 
-  // Merge in shard order — which is hub order, because shards hold
-  // contiguous blocks. Every sum below therefore reproduces the
-  // single-thread iteration order (floats bit-identically; see
-  // EnergyReport::from_accountants).
+  // Merge in global hub order: hub h is local hub h / S of shard h % S.
+  // Every per-hub sum below walks this list, and the energy report reads
+  // each hub's own ledger slice from its shard's ledger, so the float sums
+  // reproduce the single-thread ledger's order bit for bit. The per-shard
+  // sums (events, medium stats) are integers and order-free.
+  std::vector<const HubRuntime*> in_order;
+  in_order.reserve(n);
+  for (std::size_t h = 0; h < n; ++h) in_order.push_back(&fleet[h % s_count]->hubs[h / s_count]);
+
   ScenarioResult result;
   result.scheme = scenario_.scheme;
   sim::SimTime span_end = sim::SimTime::origin();
-  for (const Shard& sh : fleet) span_end = std::max(span_end, sh.sim.now());
+  for (const auto& sh : fleet) span_end = std::max(span_end, sh->sim.now());
   result.span = span_end - sim::SimTime::origin();
 
   // Close every hub's power segments at the fleet-wide end time: a shard
@@ -473,16 +495,15 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   // state) until the fleet finishes, exactly as it would sharing the
   // single-thread clock. run_until on a drained simulator only advances
   // the clock — no events, no coroutine frames.
-  for (Shard& sh : fleet) {
-    sh.sim.run_until(span_end);
-    for (auto& hub : sh.hubs) hub.flush_power();
-    sh.acct.check_conservation();
-  }
-
   std::vector<const energy::EnergyAccountant*> ledgers;
   ledgers.reserve(s_count);
-  for (const Shard& sh : fleet) ledgers.push_back(&sh.acct);
-  result.energy = energy::EnergyReport::from_accountants(ledgers, result.span);
+  for (const auto& sh : fleet) {
+    sh->sim.run_until(span_end);
+    for (auto& hub : sh->hubs) hub.flush_power();
+    sh->acct.check_conservation();
+    ledgers.push_back(&sh->acct);
+  }
+  result.energy = fleet_energy(in_order, ledgers, result.span);
   {
     energy::CongestionSummary congestion;
     if (shared_ap != nullptr) {
@@ -497,8 +518,8 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     } else {
       congestion.modeled = false;
       congestion.utilization = 0.0;  // == IdealMedium utilization, always
-      for (const Shard& sh : fleet) {
-        const net::MediumStats net_stats = sh.medium.stats();
+      for (const auto& sh : fleet) {
+        const net::MediumStats net_stats = sh->medium.stats();
         congestion.airtime_wait += net_stats.totals.airtime_wait;
         congestion.grants += net_stats.totals.grants;
         congestion.retries += net_stats.totals.retries;
@@ -510,22 +531,23 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   {
     energy::KernelSummary kernel;
     kernel.shards = static_cast<int>(s_count);
-    for (const Shard& sh : fleet) {
-      const sim::SimulatorStats kernel_stats = sh.sim.stats();
+    for (const auto& sh : fleet) {
+      const sim::SimulatorStats kernel_stats = sh->sim.stats();
       kernel.events_dispatched += kernel_stats.events_dispatched;
       kernel.peak_queue_depth = std::max(kernel.peak_queue_depth, kernel_stats.peak_queue_depth);
     }
-    kernel.scheduler = std::string{sim::to_string(fleet.front().sim.stats().scheduler)};
+    kernel.scheduler = std::string{sim::to_string(fleet.front()->sim.stats().scheduler)};
     result.energy.set_kernel(std::move(kernel));
   }
 
-  std::vector<HarvestEntry> entries;
-  entries.reserve(n);
-  for (const Shard& sh : fleet) {
-    for (const HubRuntime& hub : sh.hubs) entries.push_back(HarvestEntry{&hub, &sh.acct});
-  }
-  result.energy.set_availability(availability_summary(entries));
-  harvest_fleet(result, scenario_, entries);
+  result.energy.set_availability(availability_summary(in_order));
+  harvest_fleet(result, scenario_, in_order);
+
+  // Tear down in parallel: a shard's hubs, coroutine frames, ledger and
+  // arena are its own, so each worker frees one shard. The result holds
+  // copies only.
+  for (auto& sh : fleet) pool.submit([&sh] { sh.reset(); });
+  pool.wait_idle();
   return result;
 }
 

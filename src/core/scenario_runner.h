@@ -8,9 +8,9 @@
 //
 // Execution shape is a separate axis (core/exec_policy.h): run() drives the
 // whole fleet from one Simulator on the calling thread; run(policy) may
-// split a fleet into contiguous hub blocks, one Simulator and energy ledger
-// per shard on its own worker thread, merging results in shard order so the
-// output is byte-identical either way. Hubs are materialized lazily from
+// deal a fleet's hubs round-robin to shards, one Simulator and energy ledger
+// per shard on its own worker thread, merging results in global hub order
+// so the output is byte-identical either way. Hubs are materialized lazily from
 // Scenario::fleet() inside their shard worker — each hub's runtime state
 // lives in its shard's arena, so a 10k-hub fleet never exists on one heap
 // at once and construction itself parallelizes with the shard count.

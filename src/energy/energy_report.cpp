@@ -6,68 +6,41 @@
 
 namespace iotsim::energy {
 
-/// Accumulates one ledger's components (in registration order) into `r`.
-/// This loop body — and its iteration order — IS the fleet float-summation
-/// contract: from_accountants() replays it per shard ledger so sharded runs
-/// reproduce a shared ledger's sums bit for bit.
-void EnergyReport::accumulate(EnergyReport& r, const EnergyAccountant& acct,
-                              std::string_view component_prefix) {
-  for (ComponentId c = 0; c < acct.component_count(); ++c) {
-    const std::string& name = acct.component_name(c);
-    if (!component_prefix.empty() &&
-        std::string_view{name}.substr(0, component_prefix.size()) != component_prefix) {
-      continue;
-    }
-    auto& row = r.component_j_[name];
-    for (Routine rt : kAllRoutines) {
-      const double j = acct.joules(c, rt);
-      IOTSIM_CHECK_GE(j, 0.0, "negative ledger cell for component '%s'", name.c_str());
-      row[index_of(rt)] += j;
-      r.routine_j_[index_of(rt)] += j;
-      r.busy_[index_of(rt)] += acct.busy_time(c, rt);
-    }
-  }
-}
-
 EnergyReport EnergyReport::from_accountant(const EnergyAccountant& acct, sim::Duration elapsed) {
-  return from_accountant(acct, elapsed, std::string_view{});
+  const LedgerSlice whole{&acct, 0, acct.component_count()};
+  return from_slices({&whole, 1}, elapsed);
 }
 
-EnergyReport EnergyReport::from_accountant(const EnergyAccountant& acct, sim::Duration elapsed,
-                                           std::string_view component_prefix) {
+// This loop, and its order, is the fleet float-summation contract: a
+// sharded run lists its hubs' slices in global hub order and so reproduces
+// a shared ledger's sums bit for bit.
+EnergyReport EnergyReport::from_slices(std::span<const LedgerSlice> slices,
+                                       sim::Duration elapsed) {
   EnergyReport r;
   r.elapsed_ = elapsed;
-  accumulate(r, acct, component_prefix);
-  // Conservation: an unfiltered snapshot must carry exactly the ledger's
-  // total; a prefix-filtered one can only carry a subset of it.
-  const double total = r.total_joules();
-  const double ledger = acct.total_joules();
-  const double tol = 1e-9 * (std::abs(ledger) > 1.0 ? std::abs(ledger) : 1.0);
-  if (component_prefix.empty()) {
-    IOTSIM_CHECK_LE(std::abs(total - ledger), tol,
-                    "report total %.12g J diverges from ledger total %.12g J", total, ledger);
-  } else {
-    IOTSIM_CHECK_LE(total, ledger + tol, "scope '%.*s' reports %.12g J, more than ledger %.12g J",
-                    static_cast<int>(component_prefix.size()), component_prefix.data(), total,
-                    ledger);
-  }
-  return r;
-}
-
-EnergyReport EnergyReport::from_accountants(const std::vector<const EnergyAccountant*>& accts,
-                                            sim::Duration elapsed) {
-  EnergyReport r;
-  r.elapsed_ = elapsed;
-  double ledger = 0.0;
-  for (const EnergyAccountant* acct : accts) {
-    accumulate(r, *acct, std::string_view{});
-    ledger += acct->total_joules();
+  double ledger = 0.0;  // the same cells summed component-first
+  for (const LedgerSlice& s : slices) {
+    IOTSIM_CHECK(s.begin <= s.end && s.end <= s.acct->component_count(),
+                 "ledger slice [%zu, %zu) outside a %zu-component ledger", s.begin, s.end,
+                 s.acct->component_count());
+    for (ComponentId c = s.begin; c < s.end; ++c) {
+      const std::string& name = s.acct->component_name(c);
+      auto& row = r.component_j_[name];
+      for (Routine rt : kAllRoutines) {
+        const double j = s.acct->joules(c, rt);
+        IOTSIM_CHECK_GE(j, 0.0, "negative ledger cell for component '%s'", name.c_str());
+        row[index_of(rt)] += j;
+        r.routine_j_[index_of(rt)] += j;
+        r.busy_[index_of(rt)] += s.acct->busy_time(c, rt);
+      }
+      ledger += s.acct->component_joules(c);
+    }
   }
   const double total = r.total_joules();
   const double tol = 1e-9 * (std::abs(ledger) > 1.0 ? std::abs(ledger) : 1.0);
   IOTSIM_CHECK_LE(std::abs(total - ledger), tol,
-                  "merged report total %.12g J diverges from %zu ledgers' total %.12g J", total,
-                  accts.size(), ledger);
+                  "report total %.12g J diverges from its %zu ledger slices' %.12g J", total,
+                  slices.size(), ledger);
   return r;
 }
 

@@ -6,9 +6,8 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "energy/energy_accountant.h"
 #include "energy/routine.h"
@@ -70,28 +69,30 @@ struct KernelSummary {
   int shards = 1;                    ///< effective shard count
 };
 
+/// One hub's share of the ledger it registered in: components
+/// [begin, end), which a hub registers contiguously while it is built.
+struct LedgerSlice {
+  const EnergyAccountant* acct = nullptr;
+  ComponentId begin = 0;
+  ComponentId end = 0;
+};
+
 class EnergyReport {
  public:
   EnergyReport() = default;
 
-  /// Snapshots the accountant's ledger. `elapsed` is the simulated span the
-  /// ledger covers.
+  /// Snapshots the accountant's whole ledger. `elapsed` is the simulated
+  /// span the ledger covers.
   static EnergyReport from_accountant(const EnergyAccountant& acct, sim::Duration elapsed);
 
-  /// Snapshots only the components whose name starts with `component_prefix`
-  /// — the per-hub slice of a fleet run's shared ledger (prefix "hub0/").
-  /// An empty prefix matches everything. The accounting invariant
+  /// Snapshots ledger slices as one report, walking the slices in the order
+  /// given and each slice's components in registration order. One hub's
+  /// slice is that hub's report. A fleet lists every hub's slice in global
+  /// hub order, which is the order one shared ledger registers them in, so
+  /// the floating-point sums are bit-identical however the hubs were dealt
+  /// to shard ledgers. The accounting invariant
   /// (Σ routine == Σ component == ∫P dt) holds per slice by construction.
-  static EnergyReport from_accountant(const EnergyAccountant& acct, sim::Duration elapsed,
-                                      std::string_view component_prefix);
-
-  /// Snapshots several ledgers as one fleet report, iterating the ledgers
-  /// in the order given. When shard s holds the fleet's hubs
-  /// [s·n/S, (s+1)·n/S) this visits components in exactly the order a
-  /// single shared ledger would have registered them, so the floating-point
-  /// sums are bit-identical to a single-thread run's.
-  static EnergyReport from_accountants(const std::vector<const EnergyAccountant*>& accts,
-                                       sim::Duration elapsed);
+  static EnergyReport from_slices(std::span<const LedgerSlice> slices, sim::Duration elapsed);
 
   [[nodiscard]] double joules(Routine r) const { return routine_j_[index_of(r)]; }
   [[nodiscard]] double total_joules() const;
@@ -136,11 +137,6 @@ class EnergyReport {
   /// The result cache serialises reports bit-identically, including state
   /// no public mutator exposes (cache/result_codec.cpp).
   friend class iotsim::cache::ResultCodec;
-
-  /// Shared ledger-walk of from_accountant / from_accountants; its iteration
-  /// order is the fleet float-summation contract.
-  static void accumulate(EnergyReport& r, const EnergyAccountant& acct,
-                         std::string_view component_prefix);
 
   std::array<double, kRoutineCount> routine_j_{};
   std::array<sim::Duration, kRoutineCount> busy_{};

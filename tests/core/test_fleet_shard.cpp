@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/result_json.h"
 #include "core/scenario_runner.h"
@@ -146,6 +148,59 @@ TEST(FleetShard, KernelEventsAreExecutionShapeInvariant) {
             sharded.energy.kernel().events_dispatched);
   EXPECT_EQ(single.energy.kernel().shards, 1);
   EXPECT_EQ(sharded.energy.kernel().shards, 3);
+}
+
+/// A count-compressed fleet of 17 hubs in three templates of uneven size
+/// (5/3/9) and cost: round-robin dealing leaves every shard a different mix
+/// of templates and a ragged tail of hubs.
+ScenarioBuilder uneven_fleet() {
+  auto builder = Scenario::builder().scheme(Scheme::kBcom).windows(2);
+  builder.add_hub(hw::default_hub_spec(), {AppId::kA2StepCounter, AppId::kA8Heartbeat}, 5);
+  builder.add_hub(hw::default_hub_spec(), {AppId::kA5Blynk, AppId::kA7Earthquake}, 3);
+  builder.add_hub(hw::default_hub_spec(), {AppId::kA3ArduinoJson, AppId::kA4M2x}, 9);
+  return builder;
+}
+
+TEST(FleetShard, UnevenCountCompressedFleetIsByteIdenticalAtEveryShardCount) {
+  net::ApConfig ap;
+  ap.bytes_per_second = 6.25e5;
+  ap.backoff = net::BackoffPolicy::kFifo;
+  ap.reservation_window = sim::Duration::ms(10);
+  env::EnvironmentConfig environment;
+  environment.crash.crash_prob_per_window = 0.3;
+  environment.crash.reboot_windows = 1;
+  environment.power.model = env::PowerModel::kBattery;
+  environment.power.battery_capacity_wh = 0.0003;
+  const std::vector<std::pair<const char*, Scenario>> variants = {
+      {"ideal", uneven_fleet().build()},
+      {"windowed-fifo-ap", uneven_fleet().network(ap).build()},
+      {"crash+battery", uneven_fleet().environment(environment).build()},
+  };
+  // The variants must exercise what they name: queueing at the AP, crashes
+  // and battery outages.
+  EXPECT_GT(run_scenario(variants[1].second).energy.congestion().airtime_wait,
+            sim::Duration::zero());
+  const auto avail = run_scenario(variants[2].second).energy.availability();
+  EXPECT_GT(avail.reboots, 0u);
+  EXPECT_GT(avail.samples_lost_outage, 0u);
+  for (const auto& [name, sc] : variants) {
+    ASSERT_EQ(sc.fleet_size(), 17u);
+    const std::string single = run_json(sc, ExecPolicy{});
+    for (int shards : {2, 3, 4, 5, 7, 17}) {
+      EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = shards}))
+          << name << " shards=" << shards;
+    }
+  }
+}
+
+TEST(FleetShard, PeriodicFleetAtMatchingShardCountIsByteIdentical) {
+  // ideal_fleet cycles three templates hub by hub; at three shards the
+  // round-robin deal lands one template per shard — the known imbalanced
+  // case. The work is lopsided; the results must not be.
+  const Scenario sc = ideal_fleet(15);
+  const std::string single = run_json(sc, ExecPolicy{});
+  EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = 3}));
+  EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = 3, .window = sim::Duration::ms(100)}));
 }
 
 TEST(FleetShard, SingleHubScenarioRunsUnderAnyPolicy) {
